@@ -124,16 +124,16 @@ def deterministic(name):
 
 EPISODE_TIMEOUT_S = 170
 MIN_EPISODES = 3  # --trace 0: set-up is measured at least this often
-# On a machine much slower than the reference box, stop scheduling episodes
-# once this multiple of --seconds has passed, so a run still ends in time.
-OVERRUN = 1.2
+# On a machine much slower than the reference box, schedule no episode that
+# would end past this multiple of --seconds, so a run still ends in time.
+OVERRUN = 1.15
 # Wall seconds of one untraced and one traced episode on the reference box
 # (4-core Xeon, see README.md); they turn --seconds into an episode count.
 EPISODE_S = {
-    "many_shards": (1.45, 1.5),
-    "wide_groups": (5.9, 7.0),
-    "overload_elastic": (1.6, 2.2),
-    "transient_fault": (0.7, 0.85),
+    "many_shards": (1.6, 1.8),
+    "wide_groups": (6.5, 7.5),
+    "overload_elastic": (1.8, 2.3),
+    "transient_fault": (0.85, 0.95),
 }
 
 
@@ -316,8 +316,12 @@ def main():
         trace_file = os.path.join(trace_dir, "%s-seed%d.json" % (args.workload, args.seed))
     start = time.monotonic()
     for k in schedule:
-        if len(episodes) >= MIN_EPISODES and time.monotonic() - start > OVERRUN * args.seconds:
-            log("stopping early: the run passed %.0f s" % (OVERRUN * args.seconds))
+        # Stop before an episode that would end past the limit, judged by the
+        # mean episode so far.
+        elapsed = time.monotonic() - start
+        if (len(episodes) >= MIN_EPISODES and
+                elapsed * (len(episodes) + 1) / len(episodes) > OVERRUN * args.seconds):
+            log("stopping early: one more episode would pass %.0f s" % (OVERRUN * args.seconds))
             break
         untraced = run_episode(exe, args.workload, args.seed, k, False)
         traced = (run_episode(exe, args.workload, args.seed, k, True, trace_file)
